@@ -10,8 +10,7 @@
 //	prete-testbed -fast -faults 'seed=7,drop=0.1,delay=1:50ms'  # chaos run
 //	prete-testbed -fast -budget 60          # anytime TE solve: 60 work units
 //	prete-testbed -budget 5000:150ms        # units + wall-clock safety net
-//	prete-testbed -fast -state-dir /tmp/st -replicas 3  # leader + 2 journal-tailing standbys
-//	prete-testbed -fast -state-dir /tmp/st -sites 2     # + 2 cross-site replicas fed over the network
+//	prete-testbed -fast -state-dir /tmp/st -sites 2     # + 2 standby sites fed over the network
 //
 // The -faults spec injects deterministic controller<->agent RPC faults
 // (drop, delay, duplicate, corrupt, partition, crash); see internal/fault
@@ -50,8 +49,7 @@ func main() {
 		stateDir     = flag.String("state-dir", "", "directory for crash-safe controller state (journaled snapshots); restarting with the same directory warm-restarts from the last journaled epoch (empty = stateless)")
 		ingestRate   = flag.Int("ingest-rate", 0, "feed the VOA script through the streaming ingest pipeline at this many samples per tick (0 = classic batch detector path)")
 		ingestShards = flag.Int("ingest-shards", 0, "ingest worker shard count when -ingest-rate is set (0 = default)")
-		replicas     = flag.Int("replicas", 1, "controller incarnations: 1 = the classic single controller; N > 1 additionally runs N-1 hot standbys that tail the -state-dir journal and would promote on leader death (requires -state-dir)")
-		sites        = flag.Int("sites", 0, "cross-site standby sites: each owns its own state directory under <state-dir>/sites/, fed by journal replication over the network, and would promote behind a time-bounded lease on leader death (requires -state-dir)")
+		sites        = flag.Int("sites", 0, "standby sites: each owns its own state directory under <state-dir>/sites/, fed by journal replication over the network, and would promote behind a time-bounded lease on leader death (requires -state-dir)")
 		classes      = flag.String("classes", "", "SLO tier spec 'name:share:weight[:policy],...' or 'default' (lc:0.2:100:protect,std:0.5:10:defer,bulk:0.3:1:shed); per-class demands run the strict-priority classed solve and the predictive admission ladder (empty = classless)")
 	)
 	flag.Parse()
@@ -62,14 +60,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *replicas < 1 {
-		fmt.Fprintln(os.Stderr, "prete-testbed: -replicas must be >= 1")
-		os.Exit(2)
-	}
-	if *replicas > 1 && *stateDir == "" {
-		fmt.Fprintln(os.Stderr, "prete-testbed: -replicas > 1 requires -state-dir (standbys tail the shared journal)")
-		os.Exit(2)
-	}
 	if *sites < 0 {
 		fmt.Fprintln(os.Stderr, "prete-testbed: -sites must be >= 0")
 		os.Exit(2)
@@ -158,11 +148,14 @@ func main() {
 		}
 	}
 
-	// Hot standbys: a lease endpoint for failure detection plus N-1 replicas
-	// tailing the shared journal. In a quiet run they are a read-only side
-	// channel — the leader's behaviour and state bytes are untouched.
-	var rs *wan.ReplicaSet
-	if *replicas > 1 {
+	// Standby sites: each site applies the leader's journal stream into its
+	// own directory under <state-dir>/sites/ and renews a time-bounded lease;
+	// on leader death the lowest site would promote from its own replica,
+	// fenced one generation above everything its lease saw. In a quiet run
+	// they are a read-only side channel — the leader's behaviour and state
+	// bytes are untouched.
+	var siteSet *wan.SiteSet
+	if *sites > 0 {
 		lease, err := wan.NewLeaseServer(tb.Ctl.Generation)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "prete-testbed: lease: %v\n", err)
@@ -173,35 +166,7 @@ func main() {
 		for _, a := range tb.Agents {
 			agents[a.Name] = a.Addr()
 		}
-		rs, err = wan.NewReplicaSet(*stateDir, lease.Addr(), agents, wan.ReplicaOptions{
-			Standbys: *replicas - 1,
-			Metrics:  reg,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prete-testbed: -replicas: %v\n", err)
-			os.Exit(1)
-		}
-		defer rs.Close()
-		fmt.Printf("controller replication: leader + %d hot standby(s) tailing %s\n", *replicas-1, *stateDir)
-	}
-
-	// Cross-site standbys: each site applies the leader's journal stream
-	// into its own directory under <state-dir>/sites/ and renews a
-	// time-bounded lease; on leader death the lowest site would promote from
-	// its own replica, fenced one generation above everything its lease saw.
-	var siteSet *wan.SiteSet
-	if *sites > 0 {
-		siteLease, err := wan.NewLeaseServer(tb.Ctl.Generation)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prete-testbed: site lease: %v\n", err)
-			os.Exit(1)
-		}
-		defer siteLease.Close()
-		agents := make(map[string]string, len(tb.Agents))
-		for _, a := range tb.Agents {
-			agents[a.Name] = a.Addr()
-		}
-		siteSet, err = wan.NewSiteSet(*stateDir, filepath.Join(*stateDir, "sites"), siteLease.Addr(), agents, wan.SiteOptions{
+		siteSet, err = wan.NewSiteSet(*stateDir, filepath.Join(*stateDir, "sites"), lease.Addr(), agents, wan.SiteOptions{
 			Sites:   *sites,
 			Metrics: reg,
 			Log:     tb.Ctl.Log,
@@ -211,7 +176,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer siteSet.Close()
-		fmt.Printf("cross-site replication: leader + %d standby site(s) under %s\n", *sites, filepath.Join(*stateDir, "sites"))
+		fmt.Printf("replication: leader + %d standby site(s) under %s\n", *sites, filepath.Join(*stateDir, "sites"))
 	}
 
 	var timing *wan.PipelineTiming
@@ -267,28 +232,13 @@ func main() {
 		}
 	}
 
-	if rs != nil {
-		if _, err := rs.Tick(); err != nil {
-			fmt.Fprintf(os.Stderr, "prete-testbed: replica tick: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("\nStandby journal mirrors:")
-		for _, st := range rs.Status() {
-			warm := "cold"
-			if st.Epoch > 0 {
-				warm = fmt.Sprintf("warm @ epoch %d", st.Epoch)
-			}
-			fmt.Printf("  replica %d  %s (heartbeat misses: %d)\n", st.ID, warm, st.Misses)
-		}
-	}
-
 	if siteSet != nil {
 		if _, err := siteSet.Tick(); err != nil {
 			fmt.Fprintf(os.Stderr, "prete-testbed: site tick: %v\n", err)
 			os.Exit(1)
 		}
 		rs := siteSet.ReplStats()
-		fmt.Println("\nCross-site replica mirrors:")
+		fmt.Println("\nStandby site mirrors:")
 		for _, st := range siteSet.Status() {
 			warm := "cold"
 			if st.Epoch > 0 {

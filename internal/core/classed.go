@@ -130,8 +130,10 @@ func (o *Optimizer) solveClassed(in *te.Input, spec *te.ClassSpec, caches []*Sol
 		wSum += tier.Weight
 		wLoss += tier.Weight * res.Phi
 		// Charge this tier's allocation against the network before the next
-		// tier plans. Per-link subtraction is order-independent, so the map
-		// iteration order inside residualNetwork cannot leak in.
+		// tier plans. The next tier's input fingerprint hashes the residual
+		// capacities, so every sum here must be bit-reproducible: LinkLoads
+		// adds each link's tunnel rates in tunnel-ID order, and tiers are
+		// charged in spec order.
 		plan := &te.Plan{Alloc: res.Alloc, Tunnels: in.Tunnels}
 		for lid, load := range te.LinkLoads(plan) {
 			loads[lid] += load

@@ -1,44 +1,35 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"os"
-	"time"
-
-	"prete/internal/fault"
-	"prete/internal/obs"
-	"prete/internal/optical"
-	"prete/internal/wan"
 )
 
 func init() {
-	register("failover", "Replicated-controller failover sweep: detection ticks, promotion time, and plan availability vs standby count and crash point", failover)
+	register("failover", "Replicated-controller failover sweep: detection ticks, promotion time, and plan availability vs standby-site count and crash point", failover)
 }
 
-// failover sweeps replicated-controller hand-off: for each standby count
-// and leader crash point (clean death between epochs, or kill -9 after N
-// RPCs of the next epoch), a leader journals an epoch while hot standbys
-// tail its journal; the leader then dies, the replica set detects the
-// missing lease, and the lowest live standby promotes — recovering the
-// shared store under a fresh fencing generation and re-asserting the
-// last-good plan fleet-wide. Per cell the table reports which standby won,
+// failover sweeps controller hand-off on clean replication streams: for
+// each standby-site count and leader crash point (clean death between
+// epochs, or kill -9 after N RPCs of the next epoch), a leader journals an
+// epoch that ships to every site; the leader then dies, the sites' leases
+// lapse, and the lowest site promotes — recovering its own replicated
+// directory under a fresh fencing generation and re-asserting the
+// last-good plan fleet-wide. Per cell the table reports which site won,
 // how many detection ticks the election took, whether the promoted
 // controller held a valid plan immediately (plan_avail), whether its
-// tailed mirror matched durable truth (mirror), and the promotion wall
+// replicated mirror matched durable truth (mirror), and the promotion wall
 // time against the one-TE-period recovery bound.
 func failover(w io.Writer, opts Options) error {
-	standbyCounts := []int{1, 2}
+	siteCounts := []int{1, 2}
 	crashRPCs := []int64{-1, 2} // -1 = clean death between epochs
 	if opts.Quick {
-		standbyCounts = []int{2}
+		siteCounts = []int{2}
 	}
-	header(w, "standbys", "crash_rpc", "promoted", "detect_ticks", "plan_avail", "mirror", "promote_ms", "te_period_ms", "within_period")
-	const tePeriod = 10 * time.Second
-	for _, n := range standbyCounts {
+	header(w, "sites", "crash_rpc", "promoted", "detect_ticks", "plan_avail", "mirror", "promote_ms", "te_period_ms", "within_period")
+	for _, n := range siteCounts {
 		for _, cp := range crashRPCs {
-			cell, err := failoverCell(opts, n, cp)
+			cell, err := runHACell(opts, haCell{sites: n, crashRPC: cp, epochs: 1, ticks: 1})
 			if err != nil {
 				return err
 			}
@@ -46,133 +37,22 @@ func failover(w io.Writer, opts Options) error {
 			if cp >= 0 {
 				crash = fmt.Sprintf("%d", cp)
 			}
-			avail, mirror := 0, 0
-			if cell.planAvail {
-				avail = 1
-			}
-			if cell.mirrorMatch {
-				mirror = 1
-			}
-			within := "yes"
-			if cell.promote >= tePeriod {
-				within = "NO"
-			}
 			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%d\t%.2f\t%.0f\t%s\n",
-				n, crash, cell.promoted, cell.detectTicks, avail, mirror,
-				ms(cell.promote), ms(tePeriod), within)
+				n, crash, cell.promoted, cell.detectTicks, b2i(cell.planAvail), b2i(cell.mirrorMatch),
+				ms(cell.promote), ms(haTEPeriod), cell.within())
 		}
 	}
 	fmt.Fprintln(w, "# crash_rpc: clean = leader dies between epochs; N = killed after N RPCs of the next epoch (that epoch is lost)")
 	fmt.Fprintln(w, "# plan_avail: the promoted controller re-asserted a journaled plan before running any epoch")
-	fmt.Fprintln(w, "# mirror: the standby's tailed journal mirror matched the durably recovered state exactly")
-	fmt.Fprintln(w, "# promote_ms: election to hand-off complete (recover + fence + re-assert); wall clock, varies run to run")
+	fmt.Fprintln(w, "# mirror: the site's replicated mirror matched the durably recovered state exactly")
+	fmt.Fprintln(w, "# promote_ms: lease expiry to hand-off complete (recover + fence + re-assert); wall clock, varies run to run")
 	return nil
 }
 
-type failoverCellResult struct {
-	promoted    int
-	detectTicks int
-	planAvail   bool
-	mirrorMatch bool
-	promote     time.Duration
-}
-
-// failoverCell runs one failover trace: epoch 1 completes and is tailed by
-// n standbys, the leader dies at the given crash point, and the replica
-// set ticks until a standby promotes.
-func failoverCell(opts Options, standbys int, crashRPC int64) (failoverCellResult, error) {
-	cfg := wan.SwitchConfig{
-		InstallLatency: 3 * time.Millisecond,
-		RateLatency:    300 * time.Microsecond,
-		MaxTunnels:     20000,
+// b2i renders a flag as a 0/1 table cell.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	reg := obs.NewRegistry()
-	ct := fault.NewCtlCrash(wan.TCPTransport{}, 0, reg)
-	ct.Disarm()
-	tb, err := wan.NewTestbedTransport(cfg, func(f optical.Features) float64 { return 0.8 }, ct)
-	if err != nil {
-		return failoverCellResult{}, err
-	}
-	defer tb.Close()
-	tb.SolveUnits = opts.Budget
-	tb.Ctl.Metrics = reg
-	dir, err := os.MkdirTemp("", "prete-failover-*")
-	if err != nil {
-		return failoverCellResult{}, err
-	}
-	defer os.RemoveAll(dir)
-	if _, err := tb.OpenState(dir); err != nil {
-		return failoverCellResult{}, err
-	}
-	lease, err := wan.NewLeaseServer(tb.Ctl.Generation)
-	if err != nil {
-		return failoverCellResult{}, err
-	}
-	defer lease.Close()
-	agents := make(map[string]string, len(tb.Agents))
-	for _, a := range tb.Agents {
-		agents[a.Name] = a.Addr()
-	}
-	rs, err := wan.NewReplicaSet(dir, lease.Addr(), agents, wan.ReplicaOptions{
-		Standbys:         standbys,
-		MissThreshold:    2,
-		HeartbeatTimeout: 100 * time.Millisecond,
-		Metrics:          reg,
-	})
-	if err != nil {
-		return failoverCellResult{}, err
-	}
-	defer rs.Close()
-
-	// Epoch 1 journals; the standbys tail it warm.
-	if _, err := tb.RunScenario(opts.Seed); err != nil {
-		return failoverCellResult{}, fmt.Errorf("failover epoch 1: %w", err)
-	}
-	if _, err := rs.Tick(); err != nil {
-		return failoverCellResult{}, err
-	}
-	// Leader death at the configured crash point.
-	if crashRPC >= 0 {
-		ct.Arm(crashRPC)
-		if _, err := tb.RunScenario(opts.Seed); err == nil {
-			return failoverCellResult{}, fmt.Errorf("failover: crash after %d RPCs did not halt the epoch", crashRPC)
-		}
-	}
-	lease.Close()
-	if err := tb.Ctl.ReleaseState(); err != nil {
-		return failoverCellResult{}, err
-	}
-	// Detection: tick until a standby claims the directory.
-	var res failoverCellResult
-	var prom *wan.Promotion
-	for prom == nil {
-		if res.detectTicks++; res.detectTicks > 16 {
-			return failoverCellResult{}, errors.New("failover: no promotion within 16 ticks")
-		}
-		prom, err = rs.Tick()
-		if err != nil && !errors.Is(err, wan.ErrPromotionBlocked) {
-			return failoverCellResult{}, err
-		}
-	}
-	res.promoted = prom.StandbyID
-	res.mirrorMatch = prom.MirrorMatch
-	res.promote = prom.Elapsed
-	res.planAvail = prom.Ctl.LastGoodRates() != nil
-	zombie := tb.AdoptPromoted(prom.Ctl)
-	defer zombie.Close()
-	// The adopted lineage completes the next epoch.
-	if _, err := tb.RunScenario(opts.Seed); err != nil {
-		return failoverCellResult{}, fmt.Errorf("failover post-promotion epoch: %w", err)
-	}
-	if opts.Metrics != nil {
-		for _, name := range []string{
-			"wan.election.ticks", "wan.election.heartbeats", "wan.election.misses",
-			"wan.election.elections", "wan.failover.promotions", "wan.failover.reasserts",
-			"wan.failover.mirror_match", "wan.failover.mirror_mismatch",
-			"persist.tail.polls", "persist.tail.records",
-		} {
-			opts.Metrics.Counter(name).Add(reg.Counter(name).Value())
-		}
-	}
-	return res, nil
+	return 0
 }

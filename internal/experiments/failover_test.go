@@ -9,9 +9,9 @@ import (
 )
 
 // TestFailoverExperiment runs the quick replicated-controller failover
-// sweep end to end and checks its invariants: every cell promotes standby
-// 1 (the lowest live replica) with a journaled plan immediately available
-// and a matching tailed mirror, detection lands within the tick budget,
+// sweep end to end and checks its invariants: every cell promotes site 1
+// (the lowest live site) with a journaled plan immediately available and
+// a matching replicated mirror, detection lands within the tick budget,
 // every promotion stays inside one TE period, and the election/failover
 // series are mirrored into the caller's registry. The wall-clock column
 // (promote_ms) is not asserted.
@@ -26,12 +26,12 @@ func TestFailoverExperiment(t *testing.T) {
 	for _, line := range strings.Split(out, "\n") {
 		switch {
 		case line == "" || strings.HasPrefix(line, "==") || strings.HasPrefix(line, "#"),
-			strings.HasPrefix(line, "standbys"):
+			strings.HasPrefix(line, "sites"):
 		default:
 			rows = append(rows, strings.Split(line, "\t"))
 		}
 	}
-	if len(rows) != 2 { // quick mode: 1 standby count x {clean, mid-epoch} crash points
+	if len(rows) != 2 { // quick mode: 1 site count x {clean, mid-epoch} crash points
 		t.Fatalf("failover quick sweep printed %d cells, want 2:\n%s", len(rows), out)
 	}
 	for i, row := range rows {
@@ -39,7 +39,7 @@ func TestFailoverExperiment(t *testing.T) {
 			t.Fatalf("row %d has %d columns, want 9: %v", i, len(row), row)
 		}
 		if row[2] != "1" {
-			t.Errorf("cell %d promoted standby %s, want the lowest live replica 1: %v", i, row[2], row)
+			t.Errorf("cell %d promoted site %s, want the lowest live site 1: %v", i, row[2], row)
 		}
 		if row[3] == "0" {
 			t.Errorf("cell %d reports zero detection ticks: %v", i, row)
@@ -57,8 +57,8 @@ func TestFailoverExperiment(t *testing.T) {
 	if reg.Counter("wan.failover.promotions").Value() == 0 {
 		t.Error("wan.failover.promotions not mirrored into the experiment registry")
 	}
-	if reg.Counter("wan.election.elections").Value() == 0 {
-		t.Error("wan.election.elections not mirrored into the experiment registry")
+	if reg.Counter("wan.georep.elections").Value() == 0 {
+		t.Error("wan.georep.elections not mirrored into the experiment registry")
 	}
 	if reg.Counter("persist.tail.records").Value() == 0 {
 		t.Error("persist.tail.records not mirrored into the experiment registry")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"prete/internal/fault"
@@ -37,27 +38,15 @@ func georep(w io.Writer, opts Options) error {
 		retains = []int{1}
 	}
 	header(w, "drop", "retain", "promoted", "detect_ticks", "resyncs", "resent", "plan_avail", "mirror", "promote_ms", "te_period_ms", "within_period")
-	const tePeriod = 10 * time.Second
 	for _, retain := range retains {
 		for _, drop := range drops {
-			cell, err := georepCell(opts, drop, retain)
+			cell, err := runHACell(opts, haCell{sites: 2, crashRPC: -1, drop: drop, retain: retain, epochs: 3, ticks: 3})
 			if err != nil {
 				return err
 			}
-			avail, mirror := 0, 0
-			if cell.planAvail {
-				avail = 1
-			}
-			if cell.mirrorMatch {
-				mirror = 1
-			}
-			within := "yes"
-			if cell.promote >= tePeriod {
-				within = "NO"
-			}
 			fmt.Fprintf(w, "%.1f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.2f\t%.0f\t%s\n",
 				drop, retain, cell.promoted, cell.detectTicks, cell.resyncs,
-				cell.resent, avail, mirror, ms(cell.promote), ms(tePeriod), within)
+				cell.resent, b2i(cell.planAvail), b2i(cell.mirrorMatch), ms(cell.promote), ms(haTEPeriod), cell.within())
 		}
 	}
 	fmt.Fprintln(w, "# drop: per-frame loss probability on the replication stream to site 1 (site 2's stream is clean)")
@@ -68,7 +57,21 @@ func georep(w io.Writer, opts Options) error {
 	return nil
 }
 
-type georepCellResult struct {
+// haTEPeriod is the recovery bound the failover and georep sweeps report
+// each promotion against.
+const haTEPeriod = 10 * time.Second
+
+// haCell is one failover trace of the failover and georep sweeps.
+type haCell struct {
+	sites    int
+	crashRPC int64   // -1: clean death between epochs; N: killed after N RPCs of the next epoch
+	drop     float64 // per-frame loss on the replication stream to site 1
+	retain   int     // leader-side replication buffer in records (0 = persist's default)
+	epochs   int     // healthy epochs before the leader dies
+	ticks    int     // replication ticks per healthy epoch
+}
+
+type haCellResult struct {
 	promoted    int
 	detectTicks int
 	resyncs     int64
@@ -78,55 +81,61 @@ type georepCellResult struct {
 	promote     time.Duration
 }
 
-// georepCell runs one cross-site failover trace: three epochs replicate
-// through the swept loss and retention, the lease endpoint dies, and the
-// site set ticks until a site promotes.
-func georepCell(opts Options, drop float64, retain int) (georepCellResult, error) {
+// within renders whether the promotion landed inside one TE period.
+func (r haCellResult) within() string {
+	if r.promote >= haTEPeriod {
+		return "NO"
+	}
+	return "yes"
+}
+
+// runHACell runs one failover trace: the healthy epochs replicate to every
+// site through the cell's loss and retention, the leader dies at the
+// cell's crash point (its lease endpoint with it), and the site set ticks
+// until a site promotes; the adopted lineage then completes one epoch.
+func runHACell(opts Options, c haCell) (haCellResult, error) {
 	cfg := wan.SwitchConfig{
 		InstallLatency: 3 * time.Millisecond,
 		RateLatency:    300 * time.Microsecond,
 		MaxTunnels:     20000,
 	}
 	reg := obs.NewRegistry()
-	tb, err := wan.NewTestbed(cfg, func(f optical.Features) float64 { return 0.8 })
+	ct := fault.NewCtlCrash(wan.TCPTransport{}, 0, reg)
+	ct.Disarm()
+	tb, err := wan.NewTestbedTransport(cfg, func(f optical.Features) float64 { return 0.8 }, ct)
 	if err != nil {
-		return georepCellResult{}, err
+		return haCellResult{}, err
 	}
 	defer tb.Close()
 	tb.SolveUnits = opts.Budget
 	tb.Ctl.Metrics = reg
-	dir, err := os.MkdirTemp("", "prete-georep-*")
+	dir, err := os.MkdirTemp("", "prete-ha-*")
 	if err != nil {
-		return georepCellResult{}, err
+		return haCellResult{}, err
 	}
 	defer os.RemoveAll(dir)
-	sitesRoot, err := os.MkdirTemp("", "prete-georep-sites-*")
-	if err != nil {
-		return georepCellResult{}, err
-	}
-	defer os.RemoveAll(sitesRoot)
 	if _, err := tb.OpenState(dir); err != nil {
-		return georepCellResult{}, err
+		return haCellResult{}, err
 	}
 	lease, err := wan.NewLeaseServer(tb.Ctl.Generation)
 	if err != nil {
-		return georepCellResult{}, err
+		return haCellResult{}, err
 	}
 	defer lease.Close()
 	agents := make(map[string]string, len(tb.Agents))
 	for _, a := range tb.Agents {
 		agents[a.Name] = a.Addr()
 	}
-	ss, err := wan.NewSiteSet(dir, sitesRoot, lease.Addr(), agents, wan.SiteOptions{
-		Sites:            2,
+	ss, err := wan.NewSiteSet(dir, filepath.Join(dir, "sites"), lease.Addr(), agents, wan.SiteOptions{
+		Sites:            c.sites,
 		LeaseTicks:       3,
 		HeartbeatTimeout: 100 * time.Millisecond,
-		RetainRecords:    retain,
+		RetainRecords:    c.retain,
 		Ship: func(id int) wan.Transport {
-			if id != 1 || drop == 0 {
+			if id != 1 || c.drop == 0 {
 				return wan.TCPTransport{}
 			}
-			inj, ierr := fault.NewInjector(fault.Spec{Seed: opts.Seed, Drop: drop}, reg)
+			inj, ierr := fault.NewInjector(fault.Spec{Seed: opts.Seed, Drop: c.drop}, reg)
 			if ierr != nil {
 				return wan.TCPTransport{}
 			}
@@ -136,37 +145,46 @@ func georepCell(opts Options, drop float64, retain int) (georepCellResult, error
 		Metrics: reg,
 	})
 	if err != nil {
-		return georepCellResult{}, err
+		return haCellResult{}, err
 	}
 	defer ss.Close()
 
-	// Three epochs replicate cross-site; a lossy stream with a tight
-	// retention forces site 1 through the snapshot re-sync path while the
-	// leader is still healthy. Several ticks per epoch model a TE period
-	// spanning multiple replication rounds — a dropped frame is retried
-	// within the same epoch, not a whole period later.
-	for e := 0; e < 3; e++ {
+	// Healthy epochs replicate to every site. Several ticks per epoch model
+	// a TE period spanning multiple replication rounds — a dropped frame is
+	// retried within the same epoch, not a whole period later; a lossy
+	// stream with a tight retention forces site 1 through the snapshot
+	// re-sync path while the leader is still healthy.
+	for e := 0; e < c.epochs; e++ {
 		if _, err := tb.RunScenario(opts.Seed); err != nil {
-			return georepCellResult{}, fmt.Errorf("georep epoch %d: %w", e+1, err)
+			return haCellResult{}, fmt.Errorf("ha epoch %d: %w", e+1, err)
 		}
-		for i := 0; i < 3; i++ {
+		for i := 0; i < c.ticks; i++ {
 			if p, err := ss.Tick(); err != nil || p != nil {
-				return georepCellResult{}, fmt.Errorf("georep healthy tick: promotion=%v err=%v", p, err)
+				return haCellResult{}, fmt.Errorf("ha healthy tick: promotion=%v err=%v", p, err)
 			}
 		}
 	}
-	// The lease endpoint dies with the leader; no shared lock exists
-	// cross-site, so detection is purely lease expiry.
+	// Leader death at the cell's crash point; the lease endpoint dies with
+	// the process, so detection is purely lease expiry.
+	if c.crashRPC >= 0 {
+		ct.Arm(c.crashRPC)
+		if _, err := tb.RunScenario(opts.Seed); err == nil {
+			return haCellResult{}, fmt.Errorf("ha: crash after %d RPCs did not halt the epoch", c.crashRPC)
+		}
+	}
 	lease.Close()
-	var res georepCellResult
+	if err := tb.Ctl.ReleaseState(); err != nil {
+		return haCellResult{}, err
+	}
+	var res haCellResult
 	var prom *wan.SitePromotion
 	for prom == nil {
 		if res.detectTicks++; res.detectTicks > 16 {
-			return georepCellResult{}, errors.New("georep: no promotion within 16 ticks")
+			return haCellResult{}, errors.New("ha: no promotion within 16 ticks")
 		}
 		prom, err = ss.Tick()
 		if err != nil && !errors.Is(err, wan.ErrClaimFenced) {
-			return georepCellResult{}, err
+			return haCellResult{}, err
 		}
 	}
 	res.promoted = prom.SiteID
@@ -179,7 +197,7 @@ func georepCell(opts Options, drop float64, retain int) (georepCellResult, error
 	defer zombie.Close()
 	// The adopted lineage completes the next epoch.
 	if _, err := tb.RunScenario(opts.Seed); err != nil {
-		return georepCellResult{}, fmt.Errorf("georep post-promotion epoch: %w", err)
+		return haCellResult{}, fmt.Errorf("ha post-promotion epoch: %w", err)
 	}
 	if opts.Metrics != nil {
 		for _, name := range []string{
@@ -188,7 +206,8 @@ func georepCell(opts Options, drop float64, retain int) (georepCellResult, error
 			"wan.failover.promotions", "wan.failover.reasserts",
 			"wan.failover.mirror_match", "wan.failover.mirror_mismatch",
 			"persist.repl.shipped", "persist.repl.acked", "persist.repl.resent",
-			"persist.repl.resyncs", "persist.tail.dead_files",
+			"persist.repl.resyncs", "persist.tail.polls", "persist.tail.records",
+			"persist.tail.dead_files",
 		} {
 			opts.Metrics.Counter(name).Add(reg.Counter(name).Value())
 		}

@@ -23,12 +23,12 @@ func admissionLines(events []string) []string {
 
 // TestStormFailoverAdmissionReplay drills into the F9 row's admission
 // behaviour: a leader crash mid-storm must not perturb the class-aware
-// ladder — the promoted standby's reaction emits the same per-tier
+// ladder — the promoted site's reaction emits the same per-tier
 // admission lines as the pre-crash epoch, and the whole trace (lines and
 // final decision) replays bit-identically.
 func TestStormFailoverAdmissionReplay(t *testing.T) {
 	fc := failoverCase{
-		name: "storm_failover_admission", standbys: 2, epochs: 1, crashBudget: 2, maxTicks: 5,
+		name: "storm_failover_admission", sites: 2, epochs: 1, crashBudget: 2, maxTicks: 5,
 		classes:      te.DefaultClassSpec(),
 		storm:        []core.DegradationSignal{{Fiber: 1, PNN: 0.7}},
 		wantPromoted: 1, wantWarm: true, wantEpoch: 1, wantMirror: true, wantReassert: true,

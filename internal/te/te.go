@@ -7,6 +7,7 @@ package te
 
 import (
 	"fmt"
+	"slices"
 
 	"prete/internal/routing"
 	"prete/internal/scenario"
@@ -111,15 +112,23 @@ func Satisfied(p *Plan, f routing.FlowID, demand float64, cut map[topology.Fiber
 }
 
 // LinkLoads computes the per-link load of an allocation; used to verify
-// constraint (3) and by the ECMP feasibility scaling.
+// constraint (3), by the ECMP feasibility scaling, and to charge one SLO
+// tier's allocation against the next tier's residual network. Each link's
+// load is summed in ascending tunnel-ID order: floating-point addition is
+// not associative, and a map-order sum would differ in the last bits from
+// call to call — enough to change a residual network's fingerprint.
 func LinkLoads(p *Plan) map[topology.LinkID]float64 {
-	loads := make(map[topology.LinkID]float64)
+	tids := make([]routing.TunnelID, 0, len(p.Alloc))
 	for tid, amt := range p.Alloc {
-		if amt <= 0 {
-			continue
+		if amt > 0 {
+			tids = append(tids, tid)
 		}
+	}
+	slices.Sort(tids)
+	loads := make(map[topology.LinkID]float64)
+	for _, tid := range tids {
 		for _, lid := range p.Tunnels.Tunnel(tid).Links {
-			loads[lid] += amt
+			loads[lid] += p.Alloc[tid]
 		}
 	}
 	return loads

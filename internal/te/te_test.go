@@ -314,3 +314,42 @@ func TestAllocationClone(t *testing.T) {
 		t.Fatal("clone aliases original")
 	}
 }
+
+// TestLinkLoadsBitReproducible: floating-point addition is not
+// associative, so a link shared by tunnels carrying 0.1, 0.2 and 0.3 sums
+// to different last bits in different orders. LinkLoads must add in one
+// fixed order — ascending tunnel ID — on every call; the classed solve
+// fingerprints residual capacities derived from these sums.
+func TestLinkLoadsBitReproducible(t *testing.T) {
+	net, ts := triangle(t)
+	// A second s1->s2 flow puts a third tunnel on link 0 (s1->s2).
+	flows := append(ts.Flows, routing.Flow{ID: 2, Src: 0, Dst: 1})
+	ts, err := routing.BuildTunnels(net, flows, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shared = topology.LinkID(0)
+	var on []routing.TunnelID
+	for _, tn := range ts.Tunnels {
+		for _, lid := range tn.Links {
+			if lid == shared {
+				on = append(on, tn.ID)
+			}
+		}
+	}
+	if len(on) < 3 {
+		t.Fatalf("only %d tunnels cross link %d, want >= 3", len(on), shared)
+	}
+	alloc := Allocation{}
+	for i, tid := range on[:3] {
+		alloc[tid] = 0.1 * float64(i+1)
+	}
+	plan := &Plan{Alloc: alloc, Tunnels: ts}
+	want := (alloc[on[0]] + alloc[on[1]]) + alloc[on[2]] // tunnel-ID order
+	for i := 0; i < 200; i++ {
+		if got := LinkLoads(plan)[shared]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: link load = %v (%#x), want %v (%#x) summed in tunnel-ID order",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

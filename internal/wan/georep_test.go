@@ -1,7 +1,10 @@
 package wan
 
 import (
+	"crypto/sha256"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,6 +12,16 @@ import (
 
 	"prete/internal/obs"
 )
+
+// agentAddrs maps a testbed's agent fleet to the name->address form a
+// SiteSet takes.
+func agentAddrs(tb *Testbed) map[string]string {
+	m := make(map[string]string, len(tb.Agents))
+	for _, a := range tb.Agents {
+		m[a.Name] = a.Addr()
+	}
+	return m
+}
 
 // newSiteHarness stands up a stateful leader testbed, its lease endpoint,
 // and a cross-site set of n standby sites, each with its own replicated
@@ -507,5 +520,142 @@ func TestFencedClaimStepsDownAndRejoins(t *testing.T) {
 	}
 	if got := ss.Status()[0].FencedClaims; got != 2 {
 		t.Fatalf("fenced claims after second loss = %d, want 2", got)
+	}
+}
+
+// TestDoublePromotionRace: both sites' leases lapse at once and the two
+// claim concurrently. With no lock shared between them, each opens its own
+// directory at the same floored generation; the agents arbitrate. The
+// fence probe pings agents in sorted name order, so the first agent decides:
+// exactly one claim wins, the other is refused there and steps down with
+// ErrClaimFenced, and the run is clean under -race.
+func TestDoublePromotionRace(t *testing.T) {
+	checkGoroutineLeaks(t)
+	tb, lease, ss := newSiteHarness(t, 2)
+	if _, err := tb.RunScenario(7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	lease.Close()
+	ss.Clock().Advance(ss.opt.LeaseTicks) // both leases lapse with no tick in between
+
+	type outcome struct {
+		p   *SitePromotion
+		err error
+	}
+	results := make([]outcome, 2)
+	var wg sync.WaitGroup
+	for i, id := range []int{1, 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := ss.Promote(id)
+			results[i] = outcome{p, err}
+		}()
+	}
+	wg.Wait()
+
+	var won, fenced int
+	for _, r := range results {
+		switch {
+		case r.p != nil && r.err == nil:
+			won++
+			t.Cleanup(func() { r.p.Ctl.Close() })
+			if !r.p.Recovery.Warm || r.p.Recovery.Generation != 2 {
+				t.Errorf("winner recovery = %+v, want warm gen 2", r.p.Recovery)
+			}
+		case errors.Is(r.err, ErrClaimFenced):
+			fenced++
+		default:
+			t.Errorf("unexpected race outcome: promotion=%v err=%v", r.p, r.err)
+		}
+	}
+	if won != 1 || fenced != 1 {
+		t.Fatalf("race admitted %d winners, fenced %d — want exactly 1 and 1", won, fenced)
+	}
+	if !ss.Promoted() {
+		t.Error("set not marked promoted after the race")
+	}
+}
+
+// TestReplicasQuietByteIdentity pins the quiet-standby guarantee: a leader
+// watched by standby sites produces exactly the same event sequence, the
+// same agent-visible rates, and byte-identical state-directory files as an
+// unwatched leader — replication reads the leader's journal and writes only
+// the sites' own directories until a failover actually happens.
+func TestReplicasQuietByteIdentity(t *testing.T) {
+	checkGoroutineLeaks(t)
+	run := func(sites int) (events []string, rates []map[string]float64, files map[string][32]byte) {
+		dir := t.TempDir()
+		tb := newStateTestbed(t)
+		if _, err := tb.OpenState(dir); err != nil {
+			t.Fatal(err)
+		}
+		var ss *SiteSet
+		if sites > 0 {
+			lease, err := NewLeaseServer(tb.Ctl.Generation)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { lease.Close() })
+			ss, err = NewSiteSet(dir, t.TempDir(), lease.Addr(), agentAddrs(tb), SiteOptions{
+				Sites:   sites,
+				Metrics: obs.NewRegistry(),
+				Log:     NewEventLog(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ss.Close() })
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := tb.RunScenario(7); err != nil {
+				t.Fatal(err)
+			}
+			if ss != nil {
+				if p, err := ss.Tick(); p != nil || err != nil {
+					t.Fatalf("quiet tick: promotion=%v err=%v", p, err)
+				}
+			}
+		}
+		if ss != nil {
+			for _, st := range ss.Status() {
+				if st.Epoch != 2 {
+					t.Fatalf("site %d mirror epoch = %d, want 2 (the sites were not watching)", st.ID, st.Epoch)
+				}
+			}
+		}
+		for _, a := range tb.Agents {
+			rates = append(rates, a.Rates())
+		}
+		names, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = make(map[string][32]byte, len(names))
+		for _, de := range names {
+			b, err := os.ReadFile(filepath.Join(dir, de.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[de.Name()] = sha256.Sum256(b)
+		}
+		return tb.Ctl.Log.Events(), rates, files
+	}
+
+	plainEvents, plainRates, plainFiles := run(0)
+	watchEvents, watchRates, watchFiles := run(2)
+	if !reflect.DeepEqual(watchEvents, plainEvents) {
+		t.Errorf("leader event sequence diverged under watch:\n with: %v\n want: %v",
+			watchEvents, plainEvents)
+	}
+	if !reflect.DeepEqual(watchRates, plainRates) {
+		t.Errorf("agent rates diverged under watch: %v vs %v", watchRates, plainRates)
+	}
+	if !reflect.DeepEqual(watchFiles, plainFiles) {
+		t.Errorf("state-directory bytes diverged under watch:\n with: %v\n want: %v",
+			watchFiles, plainFiles)
 	}
 }

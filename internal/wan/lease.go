@@ -1,21 +1,17 @@
 package wan
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
-// Clock is the time source leases run on. It is a seam, not a convenience:
-// cross-site failover decisions must replay bit-identically from a seed, so
-// everything the lease compares is expressed in abstract ticks and the
-// production wall clock is just one implementation. Now never goes
-// backwards.
-type Clock interface {
-	Now() uint64
-}
-
-// LogicalClock is the deterministic Clock: a counter advanced explicitly by
-// the harness (SiteSet advances it once per Tick). Two runs that perform
-// the same tick sequence observe the same times, which is what keeps lease
-// expiries — and therefore elections and promotions — byte-identical in
-// the failover matrix. Safe for concurrent use.
+// LogicalClock is the time source leases run on: a counter advanced
+// explicitly by the harness (SiteSet advances it once per Tick). Failover
+// decisions must replay bit-identically from a seed, so everything a lease
+// compares is expressed in abstract ticks, never wall time. Two runs that
+// perform the same tick sequence observe the same times, which is what
+// keeps lease expiries — and therefore elections and promotions —
+// byte-identical in the failover matrix. Safe for concurrent use.
 type LogicalClock struct {
 	mu sync.Mutex
 	t  uint64
@@ -53,32 +49,29 @@ func (c *LogicalClock) Advance(n uint64) uint64 {
 // has never reached its leader does not instantly promote at boot. Safe
 // for concurrent use.
 type Lease struct {
-	clock    Clock
+	clock    *LogicalClock
 	duration uint64
 
 	mu     sync.Mutex
 	expiry uint64
 	gen    uint64
-	renews int64
 }
 
 // NewLease returns a lease on clock that expires duration ticks after its
 // last renewal, initially granted one full duration from now.
-func NewLease(clock Clock, duration uint64) *Lease {
+func NewLease(clock *LogicalClock, duration uint64) *Lease {
 	return &Lease{clock: clock, duration: duration, expiry: clock.Now() + duration}
 }
 
 // Renew extends the lease to now + duration and records the leader
-// generation observed on the renewing heartbeat, returning the new expiry.
-func (l *Lease) Renew(gen uint64) uint64 {
+// generation observed on the renewing heartbeat.
+func (l *Lease) Renew(gen uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.expiry = l.clock.Now() + l.duration
 	if gen > l.gen {
 		l.gen = gen
 	}
-	l.renews++
-	return l.expiry
 }
 
 // Expired reports whether the lease has lapsed: the standby has not heard a
@@ -96,13 +89,6 @@ func (l *Lease) Remaining() int64 {
 	return int64(l.expiry) - int64(l.clock.Now())
 }
 
-// Expiry returns the current expiry time.
-func (l *Lease) Expiry() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.expiry
-}
-
 // Gen returns the highest leader generation observed on any renewal (0
 // before the first renewal that carried one).
 func (l *Lease) Gen() uint64 {
@@ -111,9 +97,36 @@ func (l *Lease) Gen() uint64 {
 	return l.gen
 }
 
-// Renews returns the number of successful renewals.
-func (l *Lease) Renews() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.renews
+// LeaseServer is the leader-liveness endpoint: a loopback listener
+// answering MsgPing with the leader's current fence generation. Standby
+// sites renew their Lease by heartbeating it through any wan.Transport —
+// which is exactly what makes failure detection fault-injectable: wrapping
+// a site's heartbeat transport with fault.Transport drops or partitions its
+// heartbeats deterministically, and killing the leader process is modeled
+// by closing the server. The lease dies with its listener, so a kill -9
+// takes it down with it.
+type LeaseServer struct{ srv *server }
+
+// NewLeaseServer starts a lease endpoint on a fresh loopback port. gen is
+// polled on every heartbeat (pass Controller.Generation); it must be safe
+// for concurrent use.
+func NewLeaseServer(gen func() uint64) (*LeaseServer, error) {
+	srv, err := listen("lease", func(req *Request) *Response {
+		if req.Type != MsgPing {
+			return &Response{Err: fmt.Sprintf("lease: unsupported message %q", req.Type)}
+		}
+		return &Response{OK: true, Gen: gen()}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &LeaseServer{srv: srv}, nil
 }
+
+// Addr returns the lease endpoint's listen address.
+func (s *LeaseServer) Addr() string { return s.srv.addr() }
+
+// Close kills the lease: the listener and every live heartbeat connection
+// are severed, so standbys start missing immediately — this is how a test
+// (or a process exit path) models leader death. Idempotent.
+func (s *LeaseServer) Close() error { return s.srv.close() }

@@ -8,8 +8,10 @@ package wan
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 )
 
@@ -108,4 +110,109 @@ func (c *conn) roundTrip(req *Request, timeout time.Duration) (*Response, error)
 		return &resp, fmt.Errorf("wan: switch rejected %s: %s", req.Type, resp.Err)
 	}
 	return &resp, nil
+}
+
+// server is the accept loop every wan endpoint runs — switch agents, the
+// leader's lease, and a standby site's replication ingress: a loopback
+// listener whose connections each carry a stream of requests, every one
+// answered by handle. An endpoint dies with its server: close severs the
+// listener and every live connection, so handlers blocked mid-read unwind
+// instead of pinning close forever, and tests model a process crash by
+// closing it.
+type server struct {
+	ln     net.Listener
+	handle func(*Request) *Response
+	wg     sync.WaitGroup
+	once   sync.Once
+
+	mu     sync.Mutex
+	conns  map[*conn]struct{}
+	closed bool
+}
+
+// listen starts a server on a fresh loopback port. handle must be safe for
+// concurrent use: each connection is served on its own goroutine.
+func listen(what string, handle func(*Request) *Response) (*server, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("wan: %s listen: %w", what, err)
+	}
+	s := &server{ln: ln, handle: handle, conns: make(map[*conn]struct{})}
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return s, nil
+}
+
+func (s *server) addr() string { return s.ln.Addr().String() }
+
+// close stops the server and waits for its handlers. Idempotent; only the
+// first call reports the listener's close error.
+func (s *server) close() error {
+	var err error
+	s.once.Do(func() {
+		s.mu.Lock()
+		s.closed = true
+		for c := range s.conns {
+			c.close()
+		}
+		s.mu.Unlock()
+		err = s.ln.Close()
+		s.wg.Wait()
+	})
+	return err
+}
+
+// track registers a live connection for shutdown; it returns false when the
+// server is already closing and the connection should be dropped.
+func (s *server) track(c *conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[c] = struct{}{}
+	return true
+}
+
+func (s *server) untrack(c *conn) {
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+}
+
+func (s *server) acceptLoop() {
+	defer s.wg.Done()
+	for {
+		raw, err := s.ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return
+		}
+		if err != nil {
+			continue
+		}
+		c := newConn(raw)
+		if !s.track(c) {
+			c.close()
+			continue
+		}
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			defer s.untrack(c)
+			s.serve(c)
+		}()
+	}
+}
+
+func (s *server) serve(c *conn) {
+	defer c.close()
+	for {
+		var req Request
+		if err := c.readRequest(&req); err != nil {
+			return
+		}
+		if err := c.writeResponse(s.handle(&req)); err != nil {
+			return
+		}
+	}
 }

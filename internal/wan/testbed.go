@@ -618,10 +618,10 @@ func (tb *Testbed) RestartController(tr Transport) error {
 	return nil
 }
 
-// AdoptPromoted installs a promoted replica's controller as the testbed's
-// active controller — the failover analogue of RestartController. The old
-// controller is returned rather than closed: failover tests keep the
-// zombie predecessor alive and dialable to prove the agents fence its
+// AdoptPromoted installs a promoted standby site's controller as the
+// testbed's active controller — the failover analogue of RestartController.
+// The old controller is returned rather than closed: failover tests keep
+// the zombie predecessor alive and dialable to prove the agents fence its
 // post-promotion RPCs (and a real dead leader cannot be "closed" anyway).
 // Like a restart, adoption drops the in-memory solver state; if the
 // promoted controller recovered warm, the warm-start cache is re-primed
